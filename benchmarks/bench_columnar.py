@@ -1,10 +1,9 @@
-"""Columnar vs object hot path: throughput, parity, and wire-format cost.
+"""Columnar vs object hot path: throughput and parity.
 
 The columnar layout (``ExecutionOptions(layout="columnar")``) re-lays the
-window-maintainer state as per-key struct-of-arrays numpy columns and, on
-the sockets transport, ships micro-batches as fixed-layout binary frames
-instead of pickles.  This benchmark answers the three questions that
-decide whether it earns its keep:
+window-maintainer state as per-key struct-of-arrays numpy columns.  This
+benchmark answers the two questions that decide whether it earns its
+keep:
 
 * **throughput** — the same continuous TP left outer join (the
   ``bench_stream_throughput`` workload, scaled up to the large
@@ -14,9 +13,6 @@ decide whether it earns its keep:
   outputs are tuple-for-tuple identical (lineage-canonical, and with
   *bitwise-equal* probabilities in the materialized parity run), and the
   object run equals the batch re-run ground truth.
-* **wire cost** — bytes/event and encode+decode µs/event of the binary
-  micro-batch frames (:mod:`repro.runtime.wire`) against pickling the
-  same batches, measured on synthetic batches shaped like real traffic.
 
 Speedup is state-size dependent: the columnar layout wins when watermark
 lag keeps many windows open per key (the default sizes here), and loses
@@ -34,15 +30,13 @@ Run with::
 from __future__ import annotations
 
 import argparse
-import pickle
 import sys
-import time
 import warnings
 from typing import List, Sequence
 
 from conftest import bench_payload_base
 
-from repro.columnar import HAS_NUMPY
+from repro.columnar import HAS_NUMPY, maintainer_class
 from repro.core import tp_left_outer_join
 from repro.datasets import ReplayConfig, meteo_pair, stream_def
 from repro.engine import Catalog
@@ -50,12 +44,7 @@ from repro.harness.reporting import write_bench_file
 from repro.lineage import canonical
 from repro.options import ExecutionOptions
 from repro.relation import EquiJoinCondition, TPRelation
-from repro.runtime import wire
 from repro.stream import StreamQuery
-
-#: Wire microbench batch shape: the sockets transport default micro-batch.
-WIRE_BATCH_SIZE = 64
-WIRE_BATCHES = 200
 
 
 def exact_rows(relation: TPRelation) -> List[str]:
@@ -129,64 +118,6 @@ def batch_ground_truth(size: int, seed: int) -> set:
     return {(t.fact, t.start, t.end, str(canonical(t.lineage))) for t in batch}
 
 
-def synthetic_batch(offset: int) -> list:
-    """One micro-batch shaped like real socket traffic: (channel, code)
-    pairs of element events with a sprinkling of watermarks."""
-    entries = []
-    for i in range(WIRE_BATCH_SIZE):
-        n = offset * WIRE_BATCH_SIZE + i
-        if i % 21 == 20:
-            entries.append((("node", 0, n % 4), ("w", n % 2, n)))
-            continue
-        code = (
-            (f"metric-{n % 40}", float(n % 97)),
-            ("v", f"e{n}"),
-            n % 4096,
-            n % 4096 + 1 + n % 7,
-            0.5 + (n % 32) / 64.0,
-        )
-        entries.append(
-            (("node", 0, n % 4), ("e", n % 2, n, code, n * 1e-3))
-        )
-    return entries
-
-
-def wire_microbench() -> dict:
-    """Bytes/event and encode+decode µs/event, wire frames vs pickle."""
-    batches = [synthetic_batch(i) for i in range(WIRE_BATCHES)]
-    events = WIRE_BATCH_SIZE * WIRE_BATCHES
-
-    started = time.perf_counter()
-    frames = [wire.encode_batch_frame("job", batch) for batch in batches]
-    encode_seconds = time.perf_counter() - started
-    started = time.perf_counter()
-    decoded = [wire.decode_batch_frame(frame) for frame in frames]
-    decode_seconds = time.perf_counter() - started
-    for (key, entries), batch in zip(decoded, batches):
-        assert key == "job" and entries == batch, "wire round-trip diverged"
-
-    started = time.perf_counter()
-    pickles = [pickle.dumps(("batch", "job", batch)) for batch in batches]
-    pickle_encode_seconds = time.perf_counter() - started
-    started = time.perf_counter()
-    for data in pickles:
-        pickle.loads(data)
-    pickle_decode_seconds = time.perf_counter() - started
-
-    wire_bytes = sum(len(frame) for frame in frames)
-    pickle_bytes = sum(len(data) for data in pickles)
-    return {
-        "events": events,
-        "wire_bytes_per_event": round(wire_bytes / events, 2),
-        "pickle_bytes_per_event": round(pickle_bytes / events, 2),
-        "pickle_vs_wire_bytes_ratio": round(pickle_bytes / wire_bytes, 4),
-        "wire_encode_us": round(encode_seconds / events * 1e6, 3),
-        "wire_decode_us": round(decode_seconds / events * 1e6, 3),
-        "pickle_encode_us": round(pickle_encode_seconds / events * 1e6, 3),
-        "pickle_decode_us": round(pickle_decode_seconds / events * 1e6, 3),
-    }
-
-
 def main(argv: Sequence[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--size", type=int, default=24000)
@@ -212,6 +143,11 @@ def main(argv: Sequence[str] | None = None) -> int:
     )
     parity_size = min(arguments.parity_size, size)
     seed = arguments.seed
+
+    if HAS_NUMPY:
+        # numpy loads with the first columnar maintainer.  Pay that one-off
+        # import before the timed runs so it is not charged to the layout.
+        maintainer_class("columnar")
 
     records: List[dict] = []
     metrics: dict = {}
@@ -270,18 +206,6 @@ def main(argv: Sequence[str] | None = None) -> int:
         skipped_reason = "numpy not installed: columnar degrades to object layout"
         print(f"SKIP columnar speedup gate: {skipped_reason}")
 
-    wire_record = wire_microbench()
-    records.append({"wire": wire_record})
-    metrics.update(
-        {name: value for name, value in wire_record.items() if name != "events"}
-    )
-    print(
-        f"wire: {wire_record['wire_bytes_per_event']:.0f} B/event "
-        f"(pickle {wire_record['pickle_bytes_per_event']:.0f}), "
-        f"encode {wire_record['wire_encode_us']:.1f}us "
-        f"decode {wire_record['wire_decode_us']:.1f}us per event"
-    )
-
     metrics[f"s{size}_events"] = object_record["events"]
     metrics[f"s{size}_outputs"] = object_record["outputs"]
     metrics["object_events_per_second"] = object_record["events_per_second"]
@@ -289,7 +213,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     if arguments.json_dir:
         payload = bench_payload_base(
             "columnar",
-            "Columnar hot path: layout speedup, parity gates, wire-format cost",
+            "Columnar hot path: layout speedup and parity gates",
             seed=seed,
             metrics=metrics,
             measurements=records,

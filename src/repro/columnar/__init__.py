@@ -29,14 +29,12 @@ degrade-loudly idiom the transports use when workers cannot start.
 
 from __future__ import annotations
 
+import importlib.util
 import warnings
 
-try:  # pragma: no cover - exercised by the numpy-less CI leg
-    import numpy as _numpy  # noqa: F401
-
-    HAS_NUMPY = True
-except ImportError:  # pragma: no cover - exercised by the numpy-less CI leg
-    HAS_NUMPY = False
+#: Probed without importing numpy: it loads only when a columnar
+#: maintainer is built (:func:`maintainer_class`).
+HAS_NUMPY = importlib.util.find_spec("numpy") is not None
 
 __all__ = [
     "HAS_NUMPY",

@@ -64,12 +64,11 @@ class ExecutionOptions:
     ``layout`` picks the window-maintainer state layout: ``"object"``
     (default) keeps per-tuple Python objects, ``"columnar"`` re-lays the
     hot state as struct-of-arrays numpy columns with vectorized
-    probe/evict/finalize sweeps (:mod:`repro.columnar`) and, on the
-    sockets transport, ships micro-batches as fixed-layout binary frames
-    (:mod:`repro.runtime.wire`) instead of pickles.  Settled output is
-    tuple-for-tuple, bitwise-probability identical across layouts; when
-    numpy is not installed a columnar request degrades to ``"object"``
-    with a :class:`RuntimeWarning`.
+    probe/evict/finalize sweeps (:mod:`repro.columnar`).  It affects
+    nothing else: every transport ships the same frames under both
+    layouts.  Settled output is tuple-for-tuple, bitwise-probability
+    identical across layouts; when numpy is not installed a columnar
+    request degrades to ``"object"`` with a :class:`RuntimeWarning`.
 
     ``metrics`` / ``metrics_interval`` instrument the run with per-worker
     registries (:mod:`repro.obs`); ``trace`` / ``trace_sample_rate``

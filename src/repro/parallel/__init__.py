@@ -44,7 +44,7 @@ from .plan import (
     shardable,
     stable_hash,
 )
-from .pool import available_cpus, imap_tasks, preferred_context, run_tasks
+from .pool import imap_tasks, run_tasks
 from .serialize import (
     decode_lineage,
     decode_tagged,
@@ -73,7 +73,6 @@ __all__ = [
     "ProcessRunOutcome",
     "StreamShardSpec",
     "WorkerStartError",
-    "available_cpus",
     "balanced_key_assignment",
     "canonical_order",
     "choose_partitions",
@@ -91,7 +90,6 @@ __all__ = [
     "partition_pair",
     "partition_tuples",
     "plan_workers",
-    "preferred_context",
     "restricted_probabilities",
     "run_process_partitions",
     "run_tasks",

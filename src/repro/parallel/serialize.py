@@ -43,15 +43,6 @@ def _revision_kinds() -> list:
     return _REVISION_KINDS
 
 
-def revision_kind_codes() -> int:
-    """How many revision kinds exist: valid wire codes are ``0..count-1``.
-
-    The binary wire codec (:mod:`repro.runtime.wire`) validates a decoded
-    revision row's kind byte against this count so a corrupt frame raises a
-    clean error instead of failing later inside ``decode_revision_tagged``.
-    """
-    return len(_revision_kinds())
-
 # --------------------------------------------------------------------------- #
 # lineage codec
 # --------------------------------------------------------------------------- #

@@ -86,8 +86,6 @@ class StreamShardSpec:
     downstream: tuple = ()
     #: Window-maintainer state layout, already resolved driver-side
     #: (``resolve_layout``) so a numpy-less worker is never asked for columns.
-    #: ``"columnar"`` additionally switches socket micro-batch frames to the
-    #: binary wire codec (:mod:`repro.runtime.wire`).
     layout: str = "object"
 
     #: Stream shards have no downstream: settled outputs are collected by

@@ -47,7 +47,6 @@ from ..obs.metrics import DEFAULT_METRICS_INTERVAL
 from ..obs.trace import clock_anchor, estimate_clock_offset, shift_spans
 from ..recovery.types import SeatFailure
 from ..stream.elements import Tagged
-from . import wire
 from .channel import Channel, ChannelClosed
 from .placement import Placement, parse_host_port
 from .transport import (
@@ -63,6 +62,9 @@ from .worker import WorkerReport, decode_report, encode_report, run_worker
 _LOGGER = logging.getLogger(__name__)
 
 _HEADER = struct.Struct("!I")
+#: Largest frame body either end accepts.  The length header could announce
+#: up to 4 GiB; this caps what a peer can make a reader allocate.
+MAX_FRAME_BYTES = 1 << 30
 #: How long a peer connection waits for its job frame to arrive before
 #: giving up (the driver sends every job frame before routing any element,
 #: so in practice this only trips on abandoned runs).
@@ -75,32 +77,40 @@ _SPAWN_WAIT_SECONDS = 30.0
 # framing
 # --------------------------------------------------------------------------- #
 def send_frame(sock: socket.socket, payload: object) -> None:
-    """Ship one length-prefixed pickled frame."""
+    """Ship one length-prefixed pickled frame.
+
+    Raises :class:`ValueError` for a frame over :data:`MAX_FRAME_BYTES`,
+    which no receiver would accept.
+    """
     data = pickle.dumps(payload, protocol=pickle.HIGHEST_PROTOCOL)
-    sock.sendall(_HEADER.pack(len(data)) + data)
-
-
-def send_raw_frame(sock: socket.socket, data: bytes) -> None:
-    """Ship one length-prefixed pre-encoded frame (binary wire payloads)."""
+    if len(data) > MAX_FRAME_BYTES:
+        raise ValueError(
+            f"refusing to send a {len(data)}-byte frame: "
+            f"the limit is MAX_FRAME_BYTES={MAX_FRAME_BYTES}"
+        )
     sock.sendall(_HEADER.pack(len(data)) + data)
 
 
 def recv_frame(file) -> Optional[object]:
-    """Read one frame from a buffered socket file; ``None`` on EOF.
+    """Read one pickled frame from a buffered socket file; ``None`` on EOF.
 
-    Frames self-identify by first byte: binary column frames
-    (:mod:`repro.runtime.wire`, columnar-layout micro-batches) decode
-    through the wire codec, everything else unpickles — both peers of a
-    connection can mix the two freely.
+    A header announcing more than :data:`MAX_FRAME_BYTES` raises
+    :class:`ValueError` before any of the body is read, so a peer cannot
+    make the reader allocate an arbitrary buffer.
     """
     header = file.read(_HEADER.size)
     if len(header) < _HEADER.size:
         return None
     (length,) = _HEADER.unpack(header)
+    if length > MAX_FRAME_BYTES:
+        raise ValueError(
+            f"frame header announces {length} bytes: "
+            f"the limit is MAX_FRAME_BYTES={MAX_FRAME_BYTES}"
+        )
     data = file.read(length)
     if len(data) < length:
         return None
-    return wire.decode_payload(data)
+    return pickle.loads(data)
 
 
 # --------------------------------------------------------------------------- #
@@ -124,18 +134,11 @@ class _EncodedChannelInbox:
 
 
 class _PeerPutter:
-    """Worker-side delivery to downstream peers over cached connections.
+    """Worker-side delivery to downstream peers over cached connections."""
 
-    With ``binary=True`` (columnar layout) micro-batches ship as binary
-    column frames — no pickle on the element hot path.  A batch the fixed
-    layout cannot express falls back to one pickled frame; the receiver
-    dispatches per frame, so the mix is safe.
-    """
-
-    def __init__(self, addresses, job_key: str, binary: bool = False) -> None:
+    def __init__(self, addresses, job_key: str) -> None:
         self._addresses = addresses
         self._job_key = job_key
-        self._binary = binary
         self._connections: Dict[int, socket.socket] = {}
 
     def _connection(self, target: int) -> socket.socket:
@@ -148,14 +151,6 @@ class _PeerPutter:
         return connection
 
     def put(self, target: int, batch) -> None:
-        if self._binary:
-            try:
-                data = wire.encode_batch_frame(self._job_key, batch)
-            except wire.WireFormatError:
-                pass
-            else:
-                send_raw_frame(self._connection(target), data)
-                return
         send_frame(self._connection(target), ("batch", self._job_key, batch))
 
     def put_done(self, target: int) -> None:
@@ -231,11 +226,7 @@ class _ServerJob:
         self._thread.start()
 
     def _run(self, addresses, micro_batch_size: int) -> None:
-        putter = _PeerPutter(
-            addresses,
-            self.key,
-            binary=getattr(self.spec, "layout", "object") == "columnar",
-        )
+        putter = _PeerPutter(addresses, self.key)
         try:
             if self._reply is not None:
                 # Handshake anchor: a (wall_clock, perf_counter) pair the
@@ -406,10 +397,15 @@ def _read_into_job(file, job: _ServerJob, abort_on_eof: bool) -> None:
     A *peer* connection closing mid-job is normal — peers disconnect right
     after their done sentinel.  Only the driver connection's EOF means the
     run was abandoned, in which case the inbox is closed so the worker
-    thread cannot wait forever on sentinels that will never come.
+    thread cannot wait forever on sentinels that will never come.  An
+    oversize frame ends the connection like EOF does.
     """
     while True:
-        frame = recv_frame(file)
+        try:
+            frame = recv_frame(file)
+        except ValueError as error:
+            _LOGGER.warning("job %s: dropping connection: %s", job.key, error)
+            frame = None
         if frame is None:
             if abort_on_eof and not job.done_event.is_set():
                 job.abort()
@@ -597,18 +593,6 @@ class _DriverSocketPutter:
             raise self._session.connection_failure(target, error) from error
 
     def put(self, target: int, batch) -> None:
-        spec = self._session._job.specs[target]
-        if getattr(spec, "layout", "object") == "columnar":
-            try:
-                data = wire.encode_batch_frame(self._session.job_key, batch)
-            except wire.WireFormatError:
-                pass
-            else:
-                try:
-                    send_raw_frame(self._session.connections[target], data)
-                except OSError as error:
-                    raise self._session.connection_failure(target, error) from error
-                return
         self._put(target, ("batch", self._session.job_key, batch))
 
     def put_done(self, target: int) -> None:

@@ -5,8 +5,6 @@ Layers, bottom to top:
 * :mod:`repro.stream.elements` — events, watermarks, tagged merges.
 * :mod:`repro.stream.source` — ingestion with per-source watermarks and
   bounded-lateness eviction.
-* :mod:`repro.stream.buffer` — historical aliases of the runtime's bounded
-  backpressuring :class:`~repro.runtime.Channel`.
 * :mod:`repro.stream.incremental` — per-key overlap state with
   watermark-driven, retraction-free window finalization.
 * :mod:`repro.stream.operators` — :class:`ContinuousAntiJoin` and
@@ -16,7 +14,6 @@ Layers, bottom to top:
   (threads / processes / sockets).
 """
 
-from .buffer import BoundedBuffer, BufferClosed
 from .elements import (
     CLOSED,
     LEFT,
@@ -63,8 +60,6 @@ from .source import SourceStats, StreamSource, merge_tagged
 __all__ = [
     "CLOSED",
     "CONTINUOUS_OPERATORS",
-    "BoundedBuffer",
-    "BufferClosed",
     "ContinuousAntiJoin",
     "ContinuousFullOuterJoin",
     "ContinuousInnerJoin",

@@ -5,9 +5,7 @@ kind, every transport and both executors (continuous stream join and the
 retractable dataflow graph), the settled output must equal the object
 layout's tuple-for-tuple with bitwise-identical probabilities.  These tests
 run the same query under both layouts and compare exact rows — no rounding
-beyond the canonicalisation both sides share.  A wire-capture test pins the
-transport claim: columnar socket micro-batches carry no pickled element
-payloads.
+beyond the canonicalisation both sides share.
 """
 
 from __future__ import annotations
@@ -107,40 +105,29 @@ def test_dataflow_layouts_agree_and_converge(backend, early):
     assert rows["columnar"] == rows["object"]
 
 
-def test_columnar_socket_batches_are_binary(monkeypatch):
-    """Columnar socket runs must ship element micro-batches as binary wire
-    frames — zero pickled batch payloads; object runs keep pickling."""
+def test_columnar_socket_batches_are_pickled_like_object_batches(monkeypatch):
+    """``layout`` picks only the maintainer state: a columnar socket run
+    ships the same pickled ``("batch", key, codes)`` frames, carrying the
+    same element entries, as an object run."""
     import repro.runtime.sockets as sockets
-    from repro.runtime import wire
 
-    counts = {"binary": 0, "pickled": 0}
-    real_raw = sockets.send_raw_frame
+    shipped = []
     real_send = sockets.send_frame
-
-    def spy_raw(sock, data):
-        assert wire.is_wire_frame(data)
-        counts["binary"] += 1
-        real_raw(sock, data)
 
     def spy_send(sock, frame):
         if isinstance(frame, tuple) and frame and frame[0] == "batch":
-            counts["pickled"] += 1
+            shipped.extend(code[0] for _channel, code in frame[2])
         real_send(sock, frame)
 
-    monkeypatch.setattr(sockets, "send_raw_frame", spy_raw)
     monkeypatch.setattr(sockets, "send_frame", spy_send)
 
     def run(layout):
-        counts["binary"] = counts["pickled"] = 0
-        return _run_stream("inner", "sockets", layout)
+        shipped.clear()
+        rows = _run_stream("inner", "sockets", layout)
+        return rows, sorted(shipped)
 
-    columnar_rows = run("columnar")
-    assert counts["binary"] > 0
-    assert counts["pickled"] == 0
-    binary_sent = counts["binary"]
-
-    object_rows = run("object")
-    assert counts["pickled"] > 0
-    assert counts["binary"] == 0
+    columnar_rows, columnar_tags = run("columnar")
+    object_rows, object_tags = run("object")
+    assert "e" in columnar_tags and "w" in columnar_tags
+    assert columnar_tags == object_tags
     assert columnar_rows == object_rows
-    assert binary_sent > 0
