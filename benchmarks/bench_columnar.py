@@ -14,10 +14,11 @@ keep:
   *bitwise-equal* probabilities in the materialized parity run), and the
   object run equals the batch re-run ground truth.
 
-Speedup is state-size dependent: the columnar layout wins when watermark
-lag keeps many windows open per key (the default sizes here), and loses
-a little at small windows where per-event numpy overhead dominates — see
-the "Columnar hot path" section of the README.  Without numpy installed
+The object layout probes a start-sorted per-key index, so large open
+state no longer slows it; against it the columnar layout is at best even
+(the default sizes here) and loses at small windows, where per-event numpy
+overhead dominates — see the "Columnar hot path" section of the README
+for the measured table.  Without numpy installed
 the columnar run degrades to the object layout; this benchmark then skips
 the speedup gate (``skipped_reason``) instead of reporting a fake 1.0x.
 

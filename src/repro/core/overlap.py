@@ -17,16 +17,21 @@ grouped per originating ``r`` tuple (the paper's grouping by ``Fr`` and the
 initial interval), which is what both LAWAU and LAWAN consume.
 
 For equi-join conditions the pairing uses hash partitioning on the join key
-followed by a per-partition sort-merge over interval start points; for a
-general θ it falls back to a nested loop.  Either way the produced window
-stream per ``r`` tuple is ordered by overlap start, the order required by the
-sweeps.
+followed by a per-partition sort-merge over interval start points; a general
+θ merges against the whole negative relation as one partition.  Each ``r``
+tuple probes only the rows :func:`candidate_rows` bounds by bisection: rows
+starting before ``r.Ts − d`` (``d`` the partition's longest interval) end
+before ``r`` starts, and rows starting at or after ``r.Te`` begin after it
+ends.  The streaming maintainer (:mod:`repro.stream.incremental`) probes its
+per-key state through the same helper.  Either way the produced window stream
+per ``r`` tuple is ordered by overlap start, the order required by the sweeps.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
-from typing import Iterator, Optional
+from typing import Iterator, Optional, Sequence
 
 from ..relation import TPRelation, TPTuple, ThetaCondition
 from ..temporal import Interval
@@ -132,6 +137,21 @@ def _match_order(record: OverlapRecord) -> tuple:
     return (record.interval.start, record.interval.end, record.s.key())
 
 
+def candidate_rows(
+    starts: Sequence[int], max_duration: int, start: int, end: int
+) -> tuple[int, int]:
+    """Row range ``[lo, hi)`` of a start-sorted list that may overlap ``[start, end)``.
+
+    ``max_duration`` must bound the length of every row.  A row before
+    ``lo`` starts at or before ``start − max_duration``, so it ends at or
+    before ``start``; a row from ``hi`` on starts at or after ``end``.
+    Neither can overlap the probe.  With ``start == end`` the range is the
+    band of rows that may or may not have ended by ``start``: every row
+    before it has, none after it has.
+    """
+    return bisect_right(starts, start - max_duration), bisect_left(starts, end)
+
+
 def _pair_equi(
     groups: list[OverlapGroup], negative: TPRelation, theta: ThetaCondition
 ) -> None:
@@ -139,47 +159,44 @@ def _pair_equi(
     partitions: dict[object, list[TPTuple]] = {}
     for s in negative:
         partitions.setdefault(theta.right_key(s), []).append(s)
-    for bucket in partitions.values():
-        bucket.sort(key=lambda t: (t.start, t.end))
+    merged = {key: _SortedBucket(bucket) for key, bucket in partitions.items()}
     for group in groups:
-        key = theta.left_key(group.r)
-        bucket = partitions.get(key)
-        if not bucket:
-            continue
-        _merge_bucket(group, bucket, theta)
-
-
-def _merge_bucket(
-    group: OverlapGroup, bucket: list[TPTuple], theta: ThetaCondition
-) -> None:
-    """Collect overlaps of ``group.r`` against a start-sorted bucket."""
-    r = group.r
-    for s in bucket:
-        if s.start >= r.end:
-            break
-        overlap = r.interval.intersect(s.interval)
-        if overlap is None:
-            continue
-        # For composite equi-keys the hash key already guarantees θ, but a
-        # general ThetaCondition may carry extra non-equality conjuncts, so
-        # the predicate is still evaluated.
-        if theta.evaluate(r, s):
-            group.matches.append(OverlapRecord(r, s, overlap))
+        bucket = merged.get(theta.left_key(group.r))
+        if bucket is not None:
+            bucket.merge(group, theta)
 
 
 def _pair_nested_loop(
     groups: list[OverlapGroup], negative: TPRelation, theta: ThetaCondition
 ) -> None:
-    """General-θ pairing: compare every (r, s) pair."""
-    negative_sorted = sorted(negative, key=lambda t: (t.start, t.end))
+    """General-θ pairing: every ``r`` merges against the whole of ``negative``."""
+    bucket = _SortedBucket(list(negative))
     for group in groups:
+        bucket.merge(group, theta)
+
+
+class _SortedBucket:
+    """One partition of the negative input, sorted by ``(start, end)``."""
+
+    __slots__ = ("tuples", "starts", "max_duration")
+
+    def __init__(self, tuples: list[TPTuple]) -> None:
+        tuples.sort(key=lambda t: (t.start, t.end))
+        self.tuples = tuples
+        self.starts = [t.start for t in tuples]
+        self.max_duration = max((t.end - t.start for t in tuples), default=0)
+
+    def merge(self, group: OverlapGroup, theta: ThetaCondition) -> None:
+        """Collect the overlaps of ``group.r`` against this bucket."""
         r = group.r
-        for s in negative_sorted:
-            if s.start >= r.end:
-                break
+        lo, hi = candidate_rows(self.starts, self.max_duration, r.start, r.end)
+        for s in self.tuples[lo:hi]:
             overlap = r.interval.intersect(s.interval)
             if overlap is None:
                 continue
+            # For composite equi-keys the hash key already guarantees θ, but
+            # a general ThetaCondition may carry extra non-equality
+            # conjuncts, so the predicate is still evaluated.
             if theta.evaluate(r, s):
                 group.matches.append(OverlapRecord(r, s, overlap))
 

@@ -15,19 +15,33 @@ rule:
     and never retracted.
 
 :class:`IncrementalWindowMaintainer` keeps, per join key, the *open* positive
-tuples (each with its accrued match list) and an index of negative tuples for
-matching against late-arriving positives.  Every arriving event touches only
-the tuples of its own key that it actually overlaps — the incremental
-counterpart of the paper's no-replication property — and every watermark
-advance finalizes exactly the positive tuples whose intervals it passed,
-replaying the unchanged batch sweeps (:func:`repro.core.lawan.iter_lawan`)
-over their completed groups.  Batch/stream equivalence is therefore by
-construction, and is additionally asserted by randomized tests.
+tuples (each with its accrued match list) and the negative tuples held for
+matching against late-arriving positives.  Both live in a start-sorted
+per-key index (:class:`_StartIndex`): a ``starts`` list, a row-aligned list
+of ``(arrival, tuple, item)`` rows in (start, arrival) order, and the
+key's maximum interval duration ``d``, which only ever grows and so stays an
+upper bound after evictions and retractions.  An event over ``[s, e)`` tests
+only the rows starting in ``(s − d, e)``, found by bisection
+(:func:`repro.core.overlap.candidate_rows`, shared with the batch
+sort-merge): a row starting at or before ``s − d`` ends at or before ``s``.
+A probe therefore costs ``O(log n + k)`` for ``k`` candidates, and an event
+touches only the tuples of its own key that can overlap it — the incremental
+counterpart of the paper's no-replication property.  Hits are re-sorted by
+arrival, so match lists, the entries an event affects, finalized groups and
+checkpoint exports keep per-key arrival order.
+
+Every watermark advance finalizes exactly the positive tuples whose
+intervals it passed, replaying the unchanged batch sweeps
+(:func:`repro.core.lawan.iter_lawan`) over their completed groups.
+Batch/stream equivalence is therefore by construction, and is additionally
+asserted by randomized tests.
 
 State is bounded by eviction: finalized positives are dropped immediately,
 and a negative tuple is dropped once the *left* watermark passes its end
 (no open positive references it through the index any more, and every future
-positive starts after it).
+positive starts after it).  Both expiries cut the index prefix that starts
+at or before ``W − d`` and test only the band of rows starting in
+``(W − d, W)``.
 
 Two extensions serve the retractable dataflow subsystem
 (:mod:`repro.dataflow`):
@@ -49,12 +63,15 @@ Two extensions serve the retractable dataflow subsystem
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
-from typing import Dict, Hashable, List, Optional, Tuple
+from operator import itemgetter
+from typing import Any, Dict, Hashable, List, Optional, Tuple
 
-from ..core.overlap import OverlapGroup, OverlapRecord
+from ..core.overlap import OverlapGroup, OverlapRecord, candidate_rows
 from ..lineage import EventSpace, ProbabilityComputer
 from ..relation import TPTuple, ThetaCondition
+from ..temporal import Interval
 from .elements import CLOSED
 
 #: Partition key used when θ is not an equi-join (single partition).
@@ -93,10 +110,6 @@ class OpenPositive:
     serial: int = 0
 
 
-#: Backwards-compatible alias (the entry type used to be module-private).
-_OpenPositive = OpenPositive
-
-
 @dataclass(frozen=True, slots=True)
 class FinalizedGroup:
     """A completed overlap group, ready for the LAWAU/LAWAN sweeps.
@@ -114,6 +127,93 @@ class FinalizedGroup:
     serial: int = 0
 
 
+#: Sort key of index rows and probe hits: the arrival sequence number.
+_ARRIVAL = itemgetter(0)
+
+#: One index row: ``(arrival, tuple, item)``; the item is the open entry
+#: or, for negatives, the tuple itself.
+_Row = Tuple[int, TPTuple, Any]
+
+
+class _StartIndex:
+    """One key's rows in (start, arrival) order, probed by bisection.
+
+    ``rows`` is aligned with ``starts``.  Inserting at ``bisect_right`` of
+    the start keeps equal starts in arrival order.  ``max_duration`` is the
+    longest interval ever inserted; it never shrinks, so it bounds every
+    row still present and :func:`candidate_rows` stays sound.
+    """
+
+    __slots__ = ("starts", "rows", "max_duration")
+
+    def __init__(self) -> None:
+        self.starts: List[int] = []
+        self.rows: List[_Row] = []
+        self.max_duration = 0
+
+    def insert(self, arrival: int, tp_tuple: TPTuple, item: Any) -> None:
+        interval = tp_tuple.interval
+        start = interval.start
+        at = bisect_right(self.starts, start)
+        self.starts.insert(at, start)
+        self.rows.insert(at, (arrival, tp_tuple, item))
+        duration = interval.end - start
+        if duration > self.max_duration:
+            self.max_duration = duration
+
+    def candidates(self, interval: Interval) -> List[_Row]:
+        """The rows that may overlap ``interval``, in start order."""
+        lo, hi = candidate_rows(self.starts, self.max_duration, interval.start, interval.end)
+        return self.rows[lo:hi]
+
+    def pop_first(self, tp_tuple: TPTuple) -> Any:
+        """Remove the earliest-arrived row whose tuple has ``tp_tuple``'s identity.
+
+        Returns the removed item, or ``None`` when no row matches.
+        """
+        start = tp_tuple.start
+        identity = tp_tuple.key()
+        starts, rows = self.starts, self.rows
+        for at in range(bisect_left(starts, start), bisect_right(starts, start)):
+            if rows[at][1].key() == identity:
+                del starts[at]
+                return rows.pop(at)[2]
+        return None
+
+    def expire(self, horizon: float) -> Tuple[List[_Row], float]:
+        """Remove the rows ending at or before ``horizon``.
+
+        Returns them in start order, with a lower bound on the ends of the
+        rows that stay (``inf`` when none stay).  Rows before the band of
+        :func:`candidate_rows` have all ended and rows after it cannot have,
+        so only the band is tested; the rows after it end beyond their
+        starts, which bounds them from below.
+        """
+        starts, rows = self.starts, self.rows
+        lo, hi = candidate_rows(starts, self.max_duration, horizon, horizon)
+        expired = rows[:lo]
+        kept_starts: List[int] = []
+        kept_rows: List[_Row] = []
+        bound = starts[hi] if hi < len(starts) else float("inf")
+        for at in range(lo, hi):
+            row = rows[at]
+            end = row[1].interval.end
+            if end <= horizon:
+                expired.append(row)
+            else:
+                kept_starts.append(starts[at])
+                kept_rows.append(row)
+                if end < bound:
+                    bound = end
+        starts[:hi] = kept_starts
+        rows[:hi] = kept_rows
+        return expired, bound
+
+    def items(self) -> List[Any]:
+        """Every item, in arrival order."""
+        return [row[2] for row in sorted(self.rows, key=_ARRIVAL)]
+
+
 def _match_order(record: OverlapRecord) -> tuple:
     # Same ordering as repro.core.overlap._match_order: the sweeps require
     # matches sorted by overlap start (ties: end, then negative-tuple key).
@@ -127,8 +227,11 @@ class IncrementalWindowMaintainer:
     def __init__(self, theta: ThetaCondition, events: Optional[EventSpace] = None) -> None:
         self._theta = theta
         self._partitioned = theta.is_equi
-        self._open: Dict[Hashable, List[_OpenPositive]] = {}
-        self._negatives: Dict[Hashable, List[TPTuple]] = {}
+        # Per-key start-sorted indexes; a key is dropped once its index
+        # empties, so every index held here has at least one row.
+        self._open: Dict[Hashable, _StartIndex] = {}
+        self._negatives: Dict[Hashable, _StartIndex] = {}
+        self._arrivals = 0
         self._watermark_left: float = float("-inf")
         self._watermark_right: float = float("-inf")
         self._finalized_through: float = float("-inf")
@@ -145,7 +248,7 @@ class IncrementalWindowMaintainer:
         # lets watermark advances skip the state scan entirely when nothing
         # can finalize or be evicted yet (the common case with frequent
         # watermarks).  Maintained as a lower bound: tightened on insert,
-        # recomputed exactly during the scans that do run.
+        # recomputed from the index bands during the scans that do run.
         self._min_open_end: float = float("inf")
         self._min_negative_end: float = float("inf")
 
@@ -174,14 +277,11 @@ class IncrementalWindowMaintainer:
         future emission or retraction concerns an open positive, and all of a
         positive's windows start at or after the positive's own start.  The
         value is computed exactly (not as a cached bound) because an
-        over-estimate would break the downstream watermark contract.
+        over-estimate would break the downstream watermark contract.  Each
+        key's index is start-sorted and never empty, so its first start is
+        the key's minimum: the cost is one read per key.
         """
-        smallest = float("inf")
-        for entries in self._open.values():
-            for entry in entries:
-                if entry.tuple.start < smallest:
-                    smallest = entry.tuple.start
-        return smallest
+        return min((index.starts[0] for index in self._open.values()), default=float("inf"))
 
     def computer_for(self, key: Hashable) -> ProbabilityComputer:
         """The persistent per-key probability computer (requires events).
@@ -226,6 +326,15 @@ class IncrementalWindowMaintainer:
     def _negative_key(self, tp_tuple: TPTuple) -> Hashable:
         return self._theta.right_key(tp_tuple) if self._partitioned else _WHOLE_STREAM
 
+    def _insert(
+        self, indexes: Dict[Hashable, _StartIndex], key: Hashable, tp_tuple: TPTuple, item: Any
+    ) -> None:
+        index = indexes.get(key)
+        if index is None:
+            index = indexes[key] = _StartIndex()
+        self._arrivals += 1
+        index.insert(self._arrivals, tp_tuple, item)
+
     def add_positive(
         self, tp_tuple: TPTuple, ingest_clock: float = 0.0
     ) -> Optional[OpenPositive]:
@@ -241,11 +350,18 @@ class IncrementalWindowMaintainer:
         key = self._positive_key(tp_tuple)
         self._serial += 1
         entry = OpenPositive(tp_tuple, ingest_clock=ingest_clock, key=key, serial=self._serial)
-        for negative in self._negatives.get(key, ()):
-            overlap = tp_tuple.interval.intersect(negative.interval)
-            if overlap is not None and self._theta.evaluate(tp_tuple, negative):
-                entry.matches.append(OverlapRecord(tp_tuple, negative, overlap))
-        self._open.setdefault(key, []).append(entry)
+        interval = tp_tuple.interval
+        index = self._negatives.get(key)
+        if index is not None:
+            hits = []
+            for arrival, negative, _ in index.candidates(interval):
+                overlap = interval.intersect(negative.interval)
+                if overlap is not None and self._theta.evaluate(tp_tuple, negative):
+                    hits.append((arrival, OverlapRecord(tp_tuple, negative, overlap)))
+            if hits:
+                hits.sort(key=_ARRIVAL)
+                entry.matches = [record for _, record in hits]
+        self._insert(self._open, key, tp_tuple, entry)
         self._open_count += 1
         if tp_tuple.end < self._min_open_end:
             self._min_open_end = tp_tuple.end
@@ -265,19 +381,24 @@ class IncrementalWindowMaintainer:
             self.stats.late_negatives_dropped += 1
             return []
         key = self._negative_key(tp_tuple)
-        self._negatives.setdefault(key, []).append(tp_tuple)
+        self._insert(self._negatives, key, tp_tuple, tp_tuple)
         self._negative_count += 1
         if tp_tuple.end < self._min_negative_end:
             self._min_negative_end = tp_tuple.end
         if self._negative_count > self.stats.peak_indexed_negatives:
             self.stats.peak_indexed_negatives = self._negative_count
-        affected: List[OpenPositive] = []
-        for entry in self._open.get(key, ()):
-            overlap = entry.tuple.interval.intersect(tp_tuple.interval)
-            if overlap is not None and self._theta.evaluate(entry.tuple, tp_tuple):
-                entry.matches.append(OverlapRecord(entry.tuple, tp_tuple, overlap))
-                affected.append(entry)
-        return affected
+        index = self._open.get(key)
+        if index is None:
+            return []
+        interval = tp_tuple.interval
+        hits = []
+        for arrival, positive, entry in index.candidates(interval):
+            overlap = positive.interval.intersect(interval)
+            if overlap is not None and self._theta.evaluate(positive, tp_tuple):
+                entry.matches.append(OverlapRecord(positive, tp_tuple, overlap))
+                hits.append((arrival, entry))
+        hits.sort(key=_ARRIVAL)
+        return [entry for _, entry in hits]
 
     # ------------------------------------------------------------------ #
     # retraction (revision-stream inputs)
@@ -293,47 +414,52 @@ class IncrementalWindowMaintainer:
         callers treat as a contract violation.
         """
         key = self._positive_key(tp_tuple)
-        identity = tp_tuple.key()
-        entries = self._open.get(key, [])
-        for index, entry in enumerate(entries):
-            if entry.tuple.key() == identity:
-                del entries[index]
-                if not entries:
-                    self._open.pop(key, None)
-                self._open_count -= 1
-                self.stats.positives_retracted += 1
-                # _min_open_end is a lower bound; removal only raises the
-                # true minimum, so the bound stays valid as-is.
-                return entry
-        return None
+        index = self._open.get(key)
+        if index is None:
+            return None
+        entry = index.pop_first(tp_tuple)
+        if entry is None:
+            return None
+        if not index.rows:
+            del self._open[key]
+        self._open_count -= 1
+        self.stats.positives_retracted += 1
+        # _min_open_end is a lower bound; removal only raises the true
+        # minimum, so the bound stays valid as-is.
+        return entry
 
     def remove_negative(self, tp_tuple: TPTuple) -> List[OpenPositive]:
         """Unwind an earlier :meth:`add_negative`.
 
         Drops the tuple from the index (when still there — it may have been
-        evicted) and strips its overlap records from every open positive of
-        its key, returning the entries whose match lists shrank so an
-        early-emitting operator can republish them.
+        evicted) and strips its overlap records from the open positives of
+        its key, returning the entries whose match lists shrank (in arrival
+        order) so an early-emitting operator can republish them.  A record
+        for the tuple implies an overlap with its interval, so only the open
+        positives in that interval's probe window are inspected.
         """
         key = self._negative_key(tp_tuple)
-        identity = tp_tuple.key()
-        bucket = self._negatives.get(key)
-        if bucket is not None:
-            for index, negative in enumerate(bucket):
-                if negative.key() == identity:
-                    del bucket[index]
-                    if not bucket:
-                        self._negatives.pop(key, None)
-                    self._negative_count -= 1
-                    break
+        negatives = self._negatives.get(key)
+        if negatives is not None and negatives.pop_first(tp_tuple) is not None:
+            if not negatives.rows:
+                del self._negatives[key]
+            self._negative_count -= 1
         self.stats.negatives_retracted += 1
-        affected: List[OpenPositive] = []
-        for entry in self._open.get(key, ()):
+        index = self._open.get(key)
+        if index is None:
+            return []
+        identity = tp_tuple.key()
+        start = tp_tuple.start
+        hits = []
+        for arrival, positive, entry in index.candidates(tp_tuple.interval):
+            if positive.interval.end <= start:
+                continue
             kept = [record for record in entry.matches if record.s.key() != identity]
             if len(kept) != len(entry.matches):
                 entry.matches[:] = kept
-                affected.append(entry)
-        return affected
+                hits.append((arrival, entry))
+        hits.sort(key=_ARRIVAL)
+        return [entry for _, entry in hits]
 
     # ------------------------------------------------------------------ #
     # watermark advancement and finalization
@@ -372,29 +498,27 @@ class IncrementalWindowMaintainer:
         finalized: List[FinalizedGroup] = []
         emptied: List[Hashable] = []
         min_end: float = float("inf")
-        for key, entries in self._open.items():
-            remaining: List[_OpenPositive] = []
-            for entry in entries:
-                if entry.tuple.end <= horizon:
-                    entry.matches.sort(key=_match_order)
-                    self.stats.groups_finalized += 1
-                    self._open_count -= 1
-                    finalized.append(
-                        FinalizedGroup(
-                            OverlapGroup(entry.tuple, entry.matches),
-                            entry.ingest_clock,
-                            key=entry.key,
-                            serial=entry.serial,
-                        )
-                    )
-                else:
-                    if entry.tuple.end < min_end:
-                        min_end = entry.tuple.end
-                    remaining.append(entry)
-            if remaining:
-                self._open[key] = remaining
-            else:
+        for key, index in self._open.items():
+            expired, bound = index.expire(horizon)
+            if bound < min_end:
+                min_end = bound
+            if not index.rows:
                 emptied.append(key)
+            if not expired:
+                continue
+            expired.sort(key=_ARRIVAL)
+            self.stats.groups_finalized += len(expired)
+            self._open_count -= len(expired)
+            for _, _, entry in expired:
+                entry.matches.sort(key=_match_order)
+                finalized.append(
+                    FinalizedGroup(
+                        OverlapGroup(entry.tuple, entry.matches),
+                        entry.ingest_clock,
+                        key=entry.key,
+                        serial=entry.serial,
+                    )
+                )
         for key in emptied:
             del self._open[key]
         self._min_open_end = min_end
@@ -410,25 +534,28 @@ class IncrementalWindowMaintainer:
     # the same versioned frames and a snapshot taken under one layout
     # restores under the other.
     def open_items(self) -> List[Tuple[Hashable, List[OpenPositive]]]:
-        """Open entries grouped per key, keys in first-seen order."""
-        return [(key, list(entries)) for key, entries in self._open.items()]
+        """Open entries grouped per key (arrival order), keys in first-seen order."""
+        return [(key, index.items()) for key, index in self._open.items()]
 
     def negative_items(self) -> List[Tuple[Hashable, List[TPTuple]]]:
-        """Indexed negatives grouped per key, keys in first-seen order."""
-        return [(key, list(bucket)) for key, bucket in self._negatives.items()]
+        """Indexed negatives grouped per key (arrival order), keys in first-seen order."""
+        return [(key, index.items()) for key, index in self._negatives.items()]
 
     def load_open_entries(self, key: Hashable, entries: List[OpenPositive]) -> None:
         """Checkpoint restore: adopt pre-built open entries for one key.
 
-        Structural load only — counts are updated, but watermarks, bounds
-        and stats are restored separately by the checkpoint codec.
+        ``entries`` come in arrival order and are inserted through the
+        index.  Structural load only — counts are updated, but watermarks,
+        bounds and stats are restored separately by the checkpoint codec.
         """
-        self._open.setdefault(key, []).extend(entries)
+        for entry in entries:
+            self._insert(self._open, key, entry.tuple, entry)
         self._open_count += len(entries)
 
     def load_negatives(self, key: Hashable, bucket: List[TPTuple]) -> None:
-        """Checkpoint restore: adopt one key's indexed negatives."""
-        self._negatives.setdefault(key, []).extend(bucket)
+        """Checkpoint restore: adopt one key's indexed negatives (arrival order)."""
+        for negative in bucket:
+            self._insert(self._negatives, key, negative, negative)
         self._negative_count += len(bucket)
 
     def _evict_negatives(self) -> None:
@@ -444,18 +571,14 @@ class IncrementalWindowMaintainer:
             return
         emptied: List[Hashable] = []
         min_end: float = float("inf")
-        for key, bucket in self._negatives.items():
-            kept = [negative for negative in bucket if negative.end > horizon]
-            evicted = len(bucket) - len(kept)
+        for key, index in self._negatives.items():
+            evicted, bound = index.expire(horizon)
             if evicted:
-                self.stats.negatives_evicted += evicted
-                self._negative_count -= evicted
-            if kept:
-                bucket_min = min(negative.end for negative in kept)
-                if bucket_min < min_end:
-                    min_end = bucket_min
-                self._negatives[key] = kept
-            else:
+                self.stats.negatives_evicted += len(evicted)
+                self._negative_count -= len(evicted)
+            if bound < min_end:
+                min_end = bound
+            if not index.rows:
                 emptied.append(key)
         for key in emptied:
             del self._negatives[key]

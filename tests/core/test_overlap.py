@@ -53,19 +53,28 @@ class TestPaperExample:
 
 class TestPairingStrategies:
     def test_equi_and_nested_loop_produce_identical_windows(self):
-        positive, negative, equi_theta = make_random_relations(17)
+        # Both strategies probe bisection windows bounded by the longest
+        # interval; an all-pairs comparison is the independent reference.
         general_theta = PredicateCondition(
             lambda left, right: left[0] == right[0], label="same key"
         )
-        from_hash = {
-            (w.fact_r, w.fact_s, w.interval)
-            for w in overlapping_windows(positive, negative, equi_theta)
-        }
-        from_loop = {
-            (w.fact_r, w.fact_s, w.interval)
-            for w in overlapping_windows(positive, negative, general_theta)
-        }
-        assert from_hash == from_loop
+        for seed in range(17, 23):
+            positive, negative, equi_theta = make_random_relations(seed)
+            from_hash = {
+                (w.fact_r, w.fact_s, w.interval)
+                for w in overlapping_windows(positive, negative, equi_theta)
+            }
+            from_loop = {
+                (w.fact_r, w.fact_s, w.interval)
+                for w in overlapping_windows(positive, negative, general_theta)
+            }
+            all_pairs = {
+                (r.fact, s.fact, r.interval.intersect(s.interval))
+                for r in positive
+                for s in negative
+                if r.fact[0] == s.fact[0] and r.interval.intersect(s.interval)
+            }
+            assert from_hash == from_loop == all_pairs
 
     def test_theta_that_never_matches_yields_only_unmatched_groups(self):
         positive, negative, _ = make_random_relations(3)
